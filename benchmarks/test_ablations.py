@@ -14,17 +14,25 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.analysis import sweep_bumblebee
+from repro.analysis import geomean_speedup
 from repro.analysis.experiments import fitted_devices
 from repro.core import BumblebeeConfig
+from repro.designs import registry
+from repro.exec import enumerate_cells, run_cells
 
 #: Locality-diverse subset keeps each sweep affordable.
 SWEEP_WORKLOADS = ("mcf", "wrf", "xz", "roms")
 
 
-def run_sweep(harness, field, values, **kwargs):
-    results = sweep_bumblebee(harness, field, values,
-                              workloads=SWEEP_WORKLOADS, **kwargs)
+def run_sweep(harness, field, values):
+    """Geomean speedup per value of one Bumblebee parameter."""
+    specs = registry.expand_grid("Bumblebee", {field: list(values)})
+    comparisons = run_cells(harness,
+                            enumerate_cells(specs, SWEEP_WORKLOADS))
+    per_spec = len(SWEEP_WORKLOADS)
+    results = {value: geomean_speedup(
+                   comparisons[i * per_spec:(i + 1) * per_spec])
+               for i, value in enumerate(values)}
     body = "\n".join(f"  {field}={value}: {speedup:.3f}"
                      for value, speedup in results.items())
     emit(f"Ablation — {field}", body)
@@ -69,7 +77,6 @@ def test_ablation_associativity(benchmark, harness):
                                       name=f"bee-{ways}way",
                                       hbm_config=hbm, dram_config=dram)
                 for workload in SWEEP_WORKLOADS]
-            from repro.analysis import geomean_speedup
             out[ways] = geomean_speedup(comparisons)
         emit("Ablation — associativity",
              "\n".join(f"  ways={k}: {v:.3f}" for k, v in out.items()))

@@ -1,4 +1,4 @@
-"""Experiment harness, metric aggregation, sweeps, and report rendering."""
+"""Experiment harness, metric aggregation, and report rendering."""
 
 from .experiments import ExperimentConfig, ExperimentHarness, fitted_devices
 from .metrics import (
@@ -33,7 +33,6 @@ from .devices import (
     format_device_reports,
 )
 from .plotting import bar_chart, grouped_bars, heat_strip, sparkline
-from .sweep import config_with, sweep_bumblebee
 from .tracetools import (
     ReuseProfile,
     StrideProfile,
@@ -69,8 +68,6 @@ __all__ = [
     "compare",
     "summarise_group",
     "geomean_speedup",
-    "config_with",
-    "sweep_bumblebee",
     "format_figure1",
     "format_table2",
     "format_figure6",

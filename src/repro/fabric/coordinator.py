@@ -35,16 +35,15 @@ partition, or mid-body-disconnect any request deterministically.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import threading
 import time
 
 from ..analysis.campaign import Campaign, QuarantinedCell, _cell_key
 from ..analysis.metrics import WorkloadComparison
-from ..analysis.resultcache import _canonical
 from ..designs import DesignSpec
 from ..resilience import faults
+from ..resilience.contentstore import content_hash
 from .state import FabricPolicy, FabricState
 
 _REASONS = {200: "OK", 204: "No Content", 400: "Bad Request",
@@ -333,8 +332,7 @@ class FabricCoordinator:
     def _do_complete(self, payload: dict) -> dict:
         design, workload = unwire_cell(payload["cell"])
         key = _cell_key(design, workload)
-        digest = hashlib.sha256(
-            _canonical(payload["comparison"]).encode("utf-8")).hexdigest()
+        digest = content_hash(payload["comparison"])
         verdict = self.state.complete(key, payload.get("lease", ""),
                                       time.monotonic())
         if verdict == "ok":

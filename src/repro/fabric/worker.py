@@ -35,14 +35,11 @@ import urllib.parse
 
 from ..analysis.experiments import ExperimentConfig, ExperimentHarness
 from ..analysis.campaign import _cell_key
+from ..analysis.resultcache import ResultCache
 from ..resilience import faults
 from ..resilience.supervisor import Supervision, backoff_delay
 from ..traces.spec import SystemScale
-from .cachebackend import (
-    BackendResultCache,
-    BackendTraceCache,
-    HTTPCacheBackend,
-)
+from ..traces.tracecache import TraceCache
 from .coordinator import unwire_cell
 
 
@@ -138,6 +135,37 @@ class FabricClient:
         return json.loads(data) if data else {}
 
 
+class HTTPCacheBackend:
+    """Byte backend over the coordinator's ``/cache/<kind>/<key>`` routes.
+
+    Plugs into :class:`~repro.resilience.contentstore.ContentStore` so
+    workers with no shared disk share one result/trace store.  Entries
+    are validated client-side; ``discard`` is a no-op because the
+    coordinator's own store heals on the next put.
+
+    Args:
+        client: A :class:`FabricClient` (its retry budget and backoff
+            apply to every cache exchange).
+        kind: ``"result"`` or ``"trace"``.
+    """
+
+    def __init__(self, client: FabricClient, kind: str) -> None:
+        self.client = client
+        self.kind = kind
+
+    def get(self, key: str) -> bytes | None:
+        status, data = self.client.request(
+            "GET", f"/cache/{self.kind}/{key}", raw=True)
+        return data if status == 200 else None
+
+    def put(self, key: str, data: bytes) -> None:
+        self.client.request("PUT", f"/cache/{self.kind}/{key}",
+                            body=data, raw=True)
+
+    def discard(self, key: str) -> None:
+        pass
+
+
 class _Heartbeat:
     """Daemon thread renewing one lease until stopped."""
 
@@ -210,11 +238,11 @@ def run_worker(url: str, worker_id: str | None = None,
         ))
     if not local_caches:
         if config["caches"]["result"]:
-            harness.cache = BackendResultCache(
-                HTTPCacheBackend(client, "result"))
+            harness.cache = ResultCache(
+                backend=HTTPCacheBackend(client, "result"))
         if config["caches"]["trace"]:
-            harness.trace_cache = BackendTraceCache(
-                HTTPCacheBackend(client, "trace"))
+            harness.trace_cache = TraceCache(
+                backend=HTTPCacheBackend(client, "trace"))
     lease_s = float(config.get("lease_s", 30.0))
     injector = faults.active()
     completed = 0

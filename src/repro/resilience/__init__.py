@@ -9,6 +9,9 @@ campaigns *survival*:
 * :mod:`~repro.resilience.checkpoint` — fsync'd JSONL appends, torn-
   tail recovery, and write-failure absorption for crash-safe
   checkpoint/resume;
+* :mod:`~repro.resilience.contentstore` — the content-addressed byte
+  store under the result and trace caches (durable puts, torn reads
+  read as misses);
 * :mod:`~repro.resilience.faults` — deterministic fault injection
   (worker crashes/hangs, checkpoint ENOSPC/EIO, on-disk corruption,
   and network faults for the distributed fabric);

@@ -12,9 +12,11 @@ materialises each workload once instead of ``designs x jobs`` times.
 Entry format (one file per trace, ``<key>.trace``): a single JSON header
 line carrying the payload digest, request count, and packed-format
 version, followed by the raw little-endian ``array('Q')`` payload.
-Writes are atomic (temp file + ``os.replace``); a corrupted or truncated
-entry fails its digest check, is deleted, and is transparently
-regenerated — the same self-healing contract as the result cache.
+Entries live in the shared
+:class:`~repro.resilience.contentstore.ContentStore`: writes are atomic
+and durable, and a corrupted or truncated entry fails its digest
+check, is discarded, and is transparently regenerated — the same
+self-healing contract as the result cache.
 
 The cache root resolves from (in order) an explicit path, the
 ``$REPRO_TRACE_CACHE`` environment variable, or
@@ -28,10 +30,13 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
-from ..resilience.checkpoint import fsync_dir
+from ..resilience.contentstore import (
+    ContentStore,
+    LocalDirBackend,
+    content_hash,
+)
 from .packed import PACKED_FORMAT_VERSION, PackedTrace
 from .synthetic import (
     GENERATOR_VERSION,
@@ -77,34 +82,36 @@ def resolve_trace_cache(setting: str | None) -> "TraceCache | None":
     return TraceCache(setting or None)
 
 
-class TraceCache:
-    """On-disk store of packed traces keyed by input content hash.
+class TraceCache(ContentStore):
+    """Store of packed traces keyed by input content hash.
 
     Args:
         root: Directory holding the entries (created lazily).  Defaults
             to :func:`default_trace_cache_dir`.
+        backend: A byte backend to use instead of a local directory
+            (the fabric worker passes the coordinator's HTTP store).
 
     Attributes:
-        hits: Lookups served from disk.
+        hits: Lookups served from the store.
         misses: Lookups that found no usable entry.
         generated: Traces synthesised (and stored) by this instance.
-        bytes_read: Packed payload bytes loaded from disk.
-        bytes_written: Packed payload bytes persisted to disk.
+        bytes_read: Packed payload bytes loaded from the store.
+        bytes_written: Packed payload bytes persisted to the store.
         put_errors: Stores that failed (full/flaky disk) and were
             absorbed — the generated trace is still returned.
     """
 
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = (Path(root) if root is not None
-                     else default_trace_cache_dir())
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, root: str | Path | None = None, *,
+                 backend=None) -> None:
+        if backend is None:
+            backend = LocalDirBackend(
+                root if root is not None else default_trace_cache_dir(),
+                ".trace")
+        super().__init__(backend)
         self.generated = 0
         self.bytes_read = 0
         self.bytes_written = 0
         self.put_errors = 0
-
-    # ---- keying ---------------------------------------------------------
 
     @staticmethod
     def key_for(spec: SyntheticSpec, n: int, seed: int) -> str:
@@ -116,94 +123,43 @@ class TraceCache:
         simply never looked up again.  (The v2 generator bump retired
         every pre-seed-mix-fix entry this way.)
         """
-        fields = {
+        return content_hash({
             "spec": dataclasses.asdict(spec),
             "n": n,
             "seed": seed,
             "format": PACKED_FORMAT_VERSION,
             "generator": GENERATOR_VERSION,
-        }
-        canonical = json.dumps(fields, sort_keys=True,
-                               separators=(",", ":"), default=str)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        })
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.trace"
-
-    # ---- lookup / store -------------------------------------------------
-
-    def _read_entry(self, path: Path) -> bytes:
-        """Read and validate one entry's payload; raises on any damage."""
-        with open(path, "rb") as handle:
-            header = json.loads(handle.readline())
-            payload = handle.read()
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header["digest"] or header["count"] * 8 != \
-                len(payload):
+    def decode(self, data: bytes) -> PackedTrace:
+        """Validate one entry's header against its payload; raises on
+        any damage (malformed header, digest or count mismatch)."""
+        head, _, payload = data.partition(b"\n")
+        header = json.loads(head)
+        if hashlib.sha256(payload).hexdigest() != header["digest"] or \
+                header["count"] * 8 != len(payload):
             raise ValueError("trace digest/count mismatch")
-        return payload
+        return PackedTrace.frombytes(payload)
 
     def get(self, spec: SyntheticSpec, n: int, seed: int
             ) -> PackedTrace | None:
-        """The stored stream, or None.
-
-        Damage never surfaces as an error.  A validation failure
-        (malformed header, digest mismatch, wrong request count, torn
-        or empty bytes) is retried once first: when many fleet workers
-        warm one shared store, the failed read may simply have observed
-        a concurrent ``put`` whose final rename had not landed yet, and
-        the retry finds the completed entry instead of destroying it.
-        Only a failure that persists across both reads — genuine
-        corruption, truncation, manual edits — deletes the entry and
-        reports a miss so the caller regenerates and heals the cache.
-        """
-        path = self._path(self.key_for(spec, n, seed))
-        payload = None
-        for _ in range(2):
-            try:
-                payload = self._read_entry(path)
-                break
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except (ValueError, KeyError, TypeError, OSError):
-                payload = None
-        if payload is None:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.bytes_read += len(payload)
-        return PackedTrace.frombytes(payload)
+        """The stored stream, or None (see :meth:`fetch`)."""
+        trace = self.fetch(self.key_for(spec, n, seed))
+        if trace is not None:
+            self.bytes_read += trace.nbytes
+        return trace
 
     def put(self, spec: SyntheticSpec, n: int, seed: int,
             trace: PackedTrace) -> None:
-        """Persist a packed stream atomically under its content key."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Persist a packed stream under its content key."""
         payload = trace.tobytes()
         header = json.dumps({
             "digest": hashlib.sha256(payload).hexdigest(),
             "count": len(trace),
             "format": PACKED_FORMAT_VERSION,
         })
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("utf-8") + b"\n")
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self._path(self.key_for(spec, n, seed)))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_dir(self.root)
+        self.backend.put(self.key_for(spec, n, seed),
+                         header.encode("utf-8") + b"\n" + payload)
         self.bytes_written += len(payload)
 
     def get_or_generate(self, spec: SyntheticSpec, n: int,
@@ -228,7 +184,7 @@ class TraceCache:
             self.generated += 1
         return trace
 
-    # ---- observability / maintenance ------------------------------------
+    # ---- observability ----------------------------------------------------
 
     def counters(self) -> dict[str, int]:
         """A plain-dict snapshot of the observability counters."""
@@ -239,20 +195,3 @@ class TraceCache:
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
         }
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.trace"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.trace"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed

@@ -26,21 +26,22 @@ import pytest
 from repro.analysis.campaign import Campaign
 from repro.analysis.experiments import ExperimentConfig, ExperimentHarness
 from repro.designs import registry
+from repro.analysis.resultcache import ResultCache
 from repro.fabric import (
-    BackendResultCache,
-    BackendTraceCache,
     FabricClient,
     FabricCoordinator,
     FabricPolicy,
     FabricState,
     FabricUnreachable,
     CoordinatorThread,
-    LocalDirBackend,
+    HTTPCacheBackend,
     run_worker,
 )
 from repro.fabric.coordinator import unwire_cell, wire_cell
 from repro.resilience import FaultSpec, faults
+from repro.resilience.contentstore import LocalDirBackend
 from repro.traces.spec import SystemScale, synthetic_spec
+from repro.traces.tracecache import TraceCache
 
 FLEET = ExperimentConfig(requests=600, warmup=150, workloads=("leela",))
 
@@ -177,7 +178,7 @@ class TestCacheBackends:
 
     def test_result_cache_round_trip_and_torn_miss(self, tmp_path):
         backend = LocalDirBackend(tmp_path, ".json")
-        cache = BackendResultCache(backend)
+        cache = ResultCache(backend=backend)
         key = "cd" * 32
         assert cache.get(key) is None
         cache.put(key, {"norm_ipc": 1.25, "workload": "leela"})
@@ -193,25 +194,54 @@ class TestCacheBackends:
         class Down:
             def get(self, key):
                 raise ConnectionError("gone")
-        cache = BackendResultCache(Down())
+        cache = ResultCache(backend=Down())
         assert cache.get("ef" * 32) is None
 
     def test_trace_cache_round_trip_and_torn_miss(self, tmp_path):
         spec = synthetic_spec("mcf", SystemScale(1 / 256))
         backend = LocalDirBackend(tmp_path, ".trace")
-        cache = BackendTraceCache(backend)
+        cache = TraceCache(backend=backend)
         trace = cache.get_or_generate(spec, 2000, 9)
         assert cache.counters()["generated"] == 1
-        warm = BackendTraceCache(backend)
+        warm = TraceCache(backend=backend)
         assert warm.get_or_generate(spec, 2000, 9) == trace
         assert warm.counters()["hits"] == 1
         assert warm.counters()["generated"] == 0
         # Truncate the stored payload: reads as a miss, regenerates.
         entry = tmp_path / f"{cache.key_for(spec, 2000, 9)}.trace"
         entry.write_bytes(entry.read_bytes()[:-16])
-        torn = BackendTraceCache(backend)
+        torn = TraceCache(backend=backend)
         assert torn.get(spec, 2000, 9) is None
         assert torn.get_or_generate(spec, 2000, 9) == trace
+
+
+    def test_http_route_shares_native_entries(self, tmp_path):
+        # Entries PUT over /cache/<kind>/<key> are native cache files,
+        # and native entries are served back over the same route.
+        native = ResultCache(tmp_path / "results")
+        traces = TraceCache(tmp_path / "traces")
+        campaign = Campaign(_harness(), tmp_path / "c.jsonl",
+                            record_timing=False)
+        coordinator = FabricCoordinator(
+            campaign, (), ("leela",), result_backend=native.backend,
+            trace_backend=traces.backend)
+        thread = CoordinatorThread(coordinator)
+        client = FabricClient(thread.start(), "wX")
+        try:
+            remote = ResultCache(backend=HTTPCacheBackend(client, "result"))
+            remote_traces = TraceCache(
+                backend=HTTPCacheBackend(client, "trace"))
+            remote.put("ab" * 32, {"norm_ipc": 1.5})
+            native.put("cd" * 32, {"norm_ipc": 0.5})
+            spec = synthetic_spec("mcf", SystemScale(1 / 256))
+            trace = remote_traces.get_or_generate(spec, 500, 9)
+            assert native.get("ab" * 32) == {"norm_ipc": 1.5}
+            assert remote.get("cd" * 32) == {"norm_ipc": 0.5}
+            assert traces.get(spec, 500, 9) == trace
+            assert remote.get("ef" * 32) is None
+            assert (remote.hits, remote.misses) == (1, 1)
+        finally:
+            thread.stop()
 
 
 # ---- worker client --------------------------------------------------------
@@ -313,6 +343,36 @@ class TestFleetEndToEnd:
         assert coordinator.finished
         assert ("reclaimed=0 duplicates=0 divergent=0 quarantined=0"
                 in coordinator.summary())
+
+    def test_workers_share_coordinator_served_caches(self, tmp_path):
+        designs, workloads = ("Bumblebee", "Banshee"), ("leela",)
+        backends = {
+            "result_backend": ResultCache(tmp_path / "results").backend,
+            "trace_backend": TraceCache(tmp_path / "traces").backend}
+
+        def fleet(name: str) -> ExperimentHarness:
+            campaign = Campaign(_harness(), tmp_path / f"{name}.jsonl",
+                                record_timing=False)
+            coordinator = FabricCoordinator(campaign, designs, workloads,
+                                            **backends)
+            thread = CoordinatorThread(coordinator)
+            harness = _harness()
+            try:
+                assert run_worker(thread.start(), name,
+                                  harness=harness) == len(designs)
+            finally:
+                thread.stop()
+            return harness
+
+        cold = fleet("cold")
+        assert cold.trace_cache.generated == 1
+        assert len(backends["result_backend"]) > 0
+        warm = fleet("warm")
+        assert warm.cache.hits == len(designs) * len(workloads)
+        assert warm.cache.misses == 0
+        assert warm.trace_cache.generated == 0
+        assert (tmp_path / "warm.jsonl").read_bytes() == \
+            (tmp_path / "cold.jsonl").read_bytes()
 
     def test_duplicate_completion_adds_zero_rows(self, tmp_path):
         from repro.observatory import RunStore

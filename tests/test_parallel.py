@@ -18,11 +18,12 @@ from repro.analysis import (
     resolve_jobs,
     run_bumblebee_cells,
     run_design_cells,
-    sweep_bumblebee,
 )
 from repro.analysis.campaign import run_campaign
 from repro.baselines import make_controller
 from repro.core.config import BumblebeeConfig
+from repro.designs import registry
+from repro.exec import enumerate_cells, run_cells
 from repro.sim.driver import SimulationDriver
 
 FAST = ExperimentConfig(requests=1500, warmup=500,
@@ -53,12 +54,11 @@ class TestParallelIdentical:
         assert serial == parallel
 
     def test_sweep_identical(self):
-        serial = sweep_bumblebee(ExperimentHarness(FAST),
-                                 "hot_queue_dram_entries", [4, 8],
-                                 workloads=("leela",))
-        parallel = sweep_bumblebee(ExperimentHarness(FAST),
-                                   "hot_queue_dram_entries", [4, 8],
-                                   workloads=("leela",), jobs=2)
+        specs = registry.expand_grid(
+            "Bumblebee", {"hot_queue_dram_entries": [4, 8]})
+        cells = enumerate_cells(specs, ("leela",))
+        serial = run_cells(ExperimentHarness(FAST), cells, jobs=1)
+        parallel = run_cells(ExperimentHarness(FAST), cells, jobs=2)
         assert serial == parallel
 
     def test_bumblebee_cells_page_refit(self):

@@ -463,6 +463,19 @@ class TestFileLock:
 # ---- torn shared-cache entries -------------------------------------------
 
 
+def _tear_first_read(backend) -> None:
+    """Make the backend's first ``get`` return a torn (truncated) copy
+    of the entry — a concurrent put seen before its rename landed."""
+    real = backend.get
+    reads = []
+
+    def flaky(key):
+        reads.append(key)
+        data = real(key)
+        return data[:len(data) // 2] if len(reads) == 1 else data
+    backend.get = flaky
+
+
 class TestTornCacheReads:
     def test_trace_cache_torn_put_is_miss_not_error(self, tmp_path):
         from repro.traces import TraceCache, synthetic_spec
@@ -487,14 +500,7 @@ class TestTornCacheReads:
         cache = TraceCache(tmp_path)
         trace = cache.get_or_generate(spec, 2000, 9)
         fresh = TraceCache(tmp_path)
-        real = fresh._read_entry
-        observed = []
-        def flaky(path):
-            if not observed:                  # first read sees the torn
-                observed.append(path)         # in-flight put
-                raise ValueError("torn concurrent put")
-            return real(path)
-        fresh._read_entry = flaky
+        _tear_first_read(fresh.backend)       # in-flight put observed
         assert fresh.get(spec, 2000, 9) == trace
         assert fresh.counters()["hits"] == 1
         assert next(Path(tmp_path).glob("*.trace")).exists()
@@ -518,14 +524,7 @@ class TestTornCacheReads:
         cache = ResultCache(tmp_path)
         key = "cd" * 32
         cache.put(key, {"norm_ipc": 0.75})
-        real = cache._read_entry
-        observed = []
-        def flaky(path):
-            if not observed:
-                observed.append(path)
-                raise ValueError("torn concurrent put")
-            return real(path)
-        cache._read_entry = flaky
+        _tear_first_read(cache.backend)
         assert cache.get(key) == {"norm_ipc": 0.75}
         assert (cache.hits, cache.misses) == (1, 0)
         assert (tmp_path / f"{key}.json").exists()
