@@ -15,8 +15,6 @@ import pytest
 
 from conftest import emit
 from repro.analysis import geomean_speedup
-from repro.analysis.experiments import fitted_devices
-from repro.core import BumblebeeConfig
 from repro.designs import registry
 from repro.exec import enumerate_cells, run_cells
 
@@ -67,20 +65,9 @@ def test_ablation_zombie_patience(benchmark, harness):
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_associativity(benchmark, harness):
-    def sweep():
-        out = {}
-        for ways in (4, 8, 16):
-            hbm, dram = fitted_devices(harness.config.scale, hbm_ways=ways)
-            config = BumblebeeConfig(hbm_ways=ways)
-            comparisons = [
-                harness.run_bumblebee(config, workload,
-                                      name=f"bee-{ways}way",
-                                      hbm_config=hbm, dram_config=dram)
-                for workload in SWEEP_WORKLOADS]
-            out[ways] = geomean_speedup(comparisons)
-        emit("Ablation — associativity",
-             "\n".join(f"  ways={k}: {v:.3f}" for k, v in out.items()))
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # Each way count runs on devices refitted to its remapping sets
+    # (ExperimentHarness.devices_for).
+    results = benchmark.pedantic(
+        run_sweep, args=(harness, "hbm_ways", (4, 8, 16)),
+        rounds=1, iterations=1)
     assert results[8] >= max(results.values()) * 0.95

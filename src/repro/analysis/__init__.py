@@ -24,7 +24,6 @@ from .campaign import (
     QuarantinedCell,
     run_campaign,
 )
-from .parallel import resolve_jobs, run_bumblebee_cells, run_design_cells
 from .resultcache import ResultCache, default_cache_dir
 from .devices import (
     DeviceReport,
@@ -103,9 +102,6 @@ __all__ = [
     "run_campaign",
     "ResultCache",
     "default_cache_dir",
-    "resolve_jobs",
-    "run_design_cells",
-    "run_bumblebee_cells",
     "SANITIZE_DESIGNS",
     "DiffCase",
     "DifferentialReport",

@@ -9,7 +9,7 @@ Paper artefact               Harness method
 ===========================  ===========================================
 Figure 1                     :meth:`figure1_line_utilisation`
 Table II (measured)          :meth:`table2_characteristics`
-Figure 6                     :meth:`figure6_design_space`
+Figure 6 (Bumblebee specs)   :meth:`figure6_design_space`
 §IV-B metadata budget        :meth:`sec4b_metadata`
 §IV-B over-fetch             :meth:`sec4b_overfetch`
 Figure 7                     :meth:`figure7_breakdown`
@@ -32,7 +32,6 @@ from ..baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS, make_controller
 from ..designs import DesignSpec, registry
 from ..cache.utilisation import FIG1_LINE_SIZES, UtilisationResult, characterise
 from ..core.config import BumblebeeConfig, derive_geometry
-from ..core.hmmc import BumblebeeController
 from ..core.metadata import (
     SRAM_BUDGET_BYTES,
     MetadataSizes,
@@ -119,7 +118,7 @@ class ExperimentHarness:
     Args:
         config: Shared experiment knobs (scale, window, seed, ...).
         cache: Optional persistent :class:`ResultCache`.  When given,
-            design/Bumblebee comparison records are looked up by the
+            design-cell comparison records are looked up by the
             content hash of their full input description before any
             simulation runs, and stored after; records round-trip
             bit-identically, so cached and fresh results are equal.
@@ -132,6 +131,9 @@ class ExperimentHarness:
         self.trace_cache: TraceCache | None = resolve_trace_cache(
             self.config.trace_cache_dir)
         self.hbm_config, self.dram_config = fitted_devices(self.config.scale)
+        self._devices: dict[tuple[int, int],
+                            tuple[DeviceConfig, DeviceConfig]] = {
+            (64 * KIB, 8): (self.hbm_config, self.dram_config)}
         self.driver = SimulationDriver(self.config.cpu)
         self.gen_seconds = 0.0
         self._traces: dict[str, PackedTrace] = {}
@@ -168,6 +170,26 @@ class ExperimentHarness:
         """The observability label of one design cell."""
         return design.name if isinstance(design, DesignSpec) else design
 
+    def devices_for(self, spec: DesignSpec
+                    ) -> tuple[DeviceConfig, DeviceConfig]:
+        """The (HBM, DRAM) devices one design cell runs on.
+
+        Bumblebee's ``page_bytes`` and ``hbm_ways`` set its remapping-set
+        size, so both memories are refitted to tile into whole sets (see
+        :func:`fitted_devices`); a spec that sets neither runs on the
+        harness's own devices, so its cache key is unchanged.  Memoised
+        per set shape: the result feeds every cache-key computation,
+        including cells served from the cache.
+        """
+        params = spec.param_dict
+        shape = (params.get("page_bytes", 64 * KIB),
+                 params.get("hbm_ways", 8))
+        devices = self._devices.get(shape)
+        if devices is None:
+            devices = self._devices[shape] = fitted_devices(
+                self.config.scale, page_bytes=shape[0], hbm_ways=shape[1])
+        return devices
+
     def _comparison_key(self, design: "str | DesignSpec",
                         workload: str) -> str:
         """Cache key of one design-spec cell.
@@ -178,27 +200,15 @@ class ExperimentHarness:
         ``chbm_ratio`` points of a sweep alias each other's records.
         """
         spec = self._resolve_spec(design)
+        hbm_config, dram_config = self.devices_for(spec)
         return ResultCache.key_for(
             kind="design",
             design=spec.name,
             design_spec=spec.to_dict(),
             design_spec_hash=spec.spec_hash,
-            hbm=dataclasses.asdict(self.hbm_config),
-            dram=dataclasses.asdict(self.dram_config),
-            sram_bytes=self.config.scale.sram_bytes,
-            **self._key_fields(workload))
-
-    def _bumblebee_key(self, bumblebee_config: BumblebeeConfig,
-                       workload: str, name: str,
-                       hbm_config: DeviceConfig,
-                       dram_config: DeviceConfig) -> str:
-        """Cache key of one custom-Bumblebee cell."""
-        return ResultCache.key_for(
-            kind="bumblebee",
-            design=name,
-            bumblebee=dataclasses.asdict(bumblebee_config),
             hbm=dataclasses.asdict(hbm_config),
             dram=dataclasses.asdict(dram_config),
+            sram_bytes=self.config.scale.sram_bytes,
             **self._key_fields(workload))
 
     def cache_put(self, key: str, record) -> None:
@@ -400,7 +410,7 @@ class ExperimentHarness:
             self._record_timing(spec.name, workload, snapshot)
             return cached
         controller = registry.build(
-            spec, self.hbm_config, self.dram_config,
+            spec, *self.devices_for(spec),
             sram_bytes=self.config.scale.sram_bytes)
         result = self.driver.run(controller, self.trace(workload),
                                  workload=workload,
@@ -415,37 +425,6 @@ class ExperimentHarness:
             self.cache_put(self._comparison_key(spec, workload),
                            dataclasses.asdict(comparison))
         self._record_timing(spec.name, workload, snapshot, engine=engine)
-        return comparison
-
-    def run_bumblebee(self, bumblebee_config: BumblebeeConfig,
-                      workload: str,
-                      name: str = "Bumblebee",
-                      hbm_config: DeviceConfig | None = None,
-                      dram_config: DeviceConfig | None = None
-                      ) -> WorkloadComparison:
-        """Run a custom Bumblebee configuration on one workload."""
-        hbm = hbm_config or self.hbm_config
-        dram = dram_config or self.dram_config
-        snapshot = self._timing_start()
-        key = None
-        if self.cache is not None:
-            key = self._bumblebee_key(bumblebee_config, workload, name,
-                                      hbm, dram)
-            record = self.cache.get(key)
-            if record is not None:
-                self._record_timing(name, workload, snapshot)
-                return WorkloadComparison(**record)
-        controller = BumblebeeController(hbm, dram, bumblebee_config,
-                                         name=name)
-        result = self.driver.run(controller, self.trace(workload),
-                                 workload=workload,
-                                 warmup=self.config.warmup,
-                                 engine=self.config.engine)
-        engine = self._engine_timing()
-        comparison = compare(result, self.baseline(workload))
-        if key is not None:
-            self.cache_put(key, dataclasses.asdict(comparison))
-        self._record_timing(name, workload, snapshot, engine=engine)
         return comparison
 
     # ---- Figure 1 ---------------------------------------------------------
@@ -511,40 +490,38 @@ class ExperimentHarness:
     ) -> dict[tuple[int, int], dict]:
         """Normalised IPC for each block-page configuration (Figure 6).
 
+        Each configuration is the ordinary design spec
+        ``Bumblebee[block_bytes=B,page_bytes=P]`` — the same cell (and
+        result-cache entry) a ``repro sweep`` over those two axes runs —
+        on devices refitted to its page size (:meth:`devices_for`).
         Configurations whose metadata exceeds the (scaled) SRAM budget are
         reported with ``fits_sram=False``, mirroring the paper's 512KB
         feasibility cut.  ``jobs`` > 1 fans the cells over processes.
         """
-        from .parallel import run_bumblebee_cells
+        from ..exec.backends import run_cells
+        from ..exec.plan import enumerate_cells
         chosen = list(workloads or self.config.workloads)
-        cells = []
-        for page in page_sizes:
-            for block in block_sizes:
-                bconfig = BumblebeeConfig(page_bytes=page, block_bytes=block)
-                for workload in chosen:
-                    cells.append((bconfig, workload,
-                                  f"bee-{block}-{page}", page))
-        comparisons = run_bumblebee_cells(self, cells, jobs=jobs)
-        by_cell = dict(zip(cells, comparisons))
+        points = {(block, page): DesignSpec("Bumblebee", {
+                      "block_bytes": block, "page_bytes": page})
+                  for page in page_sizes for block in block_sizes}
+        run_cells(self, enumerate_cells(list(points.values()), chosen),
+                  jobs=jobs)
         out: dict[tuple[int, int], dict] = {}
-        for page in page_sizes:
-            hbm_config, dram_config = fitted_devices(self.config.scale,
-                                                     page_bytes=page)
-            for block in block_sizes:
-                bconfig = BumblebeeConfig(page_bytes=page, block_bytes=block)
-                geometry = derive_geometry(
-                    bconfig, hbm_config.geometry.capacity_bytes,
-                    dram_config.geometry.capacity_bytes)
-                sizes = metadata_sizes(bconfig, geometry)
-                picked = [by_cell[(bconfig, workload,
-                                   f"bee-{block}-{page}", page)]
-                          for workload in chosen]
-                out[(block, page)] = {
-                    "norm_ipc": geomean_speedup(picked),
-                    "metadata_bytes": sizes.total_bytes,
-                    "fits_sram": sizes.total_bytes
-                    <= self.config.scale.sram_bytes,
-                }
+        for (block, page), spec in points.items():
+            hbm_config, dram_config = self.devices_for(spec)
+            bconfig = BumblebeeConfig(page_bytes=page, block_bytes=block)
+            geometry = derive_geometry(
+                bconfig, hbm_config.geometry.capacity_bytes,
+                dram_config.geometry.capacity_bytes)
+            sizes = metadata_sizes(bconfig, geometry)
+            comparisons = [self.run_design(spec, workload)
+                           for workload in chosen]
+            out[(block, page)] = {
+                "norm_ipc": geomean_speedup(comparisons),
+                "metadata_bytes": sizes.total_bytes,
+                "fits_sram": sizes.total_bytes
+                <= self.config.scale.sram_bytes,
+            }
         return out
 
     # ---- §IV-B -------------------------------------------------------------

@@ -17,6 +17,7 @@ from .backends import (
     PoolBackend,
     SerialBackend,
     fill_cells,
+    resolve_jobs,
     run_cells,
 )
 from .explore import (
@@ -53,5 +54,6 @@ __all__ = [
     "fill_cells",
     "pareto_frontier",
     "parse_objectives",
+    "resolve_jobs",
     "run_cells",
 ]

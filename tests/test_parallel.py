@@ -12,18 +12,11 @@ import json
 import pytest
 
 from repro import ExperimentConfig, ExperimentHarness
-from repro.analysis import (
-    Campaign,
-    ResultCache,
-    resolve_jobs,
-    run_bumblebee_cells,
-    run_design_cells,
-)
+from repro.analysis import Campaign, ResultCache, geomean_speedup
 from repro.analysis.campaign import run_campaign
 from repro.baselines import make_controller
-from repro.core.config import BumblebeeConfig
-from repro.designs import registry
-from repro.exec import enumerate_cells, run_cells
+from repro.designs import DesignSpec, registry
+from repro.exec import enumerate_cells, resolve_jobs, run_cells
 from repro.sim.driver import SimulationDriver
 
 FAST = ExperimentConfig(requests=1500, warmup=500,
@@ -35,12 +28,12 @@ CELLS = [("Bumblebee", "leela"), ("Bumblebee", "mcf"),
 
 class TestParallelIdentical:
     def test_design_cells_bit_identical(self):
-        serial = run_design_cells(ExperimentHarness(FAST), CELLS, jobs=1)
-        parallel = run_design_cells(ExperimentHarness(FAST), CELLS, jobs=2)
+        serial = run_cells(ExperimentHarness(FAST), CELLS, jobs=1)
+        parallel = run_cells(ExperimentHarness(FAST), CELLS, jobs=2)
         assert serial == parallel    # frozen dataclasses: exact equality
 
     def test_duplicates_collapse(self):
-        results = run_design_cells(
+        results = run_cells(
             ExperimentHarness(FAST),
             [("Banshee", "leela"), ("Banshee", "leela")], jobs=2)
         assert len(results) == 1
@@ -62,11 +55,11 @@ class TestParallelIdentical:
         assert serial == parallel
 
     def test_bumblebee_cells_page_refit(self):
-        cells = [(BumblebeeConfig(page_bytes=128 * 1024), "leela",
-                  "bee-128k", 128 * 1024)]
-        serial = run_bumblebee_cells(ExperimentHarness(FAST), cells)
-        parallel = run_bumblebee_cells(ExperimentHarness(FAST), cells,
-                                       jobs=2)
+        cells = enumerate_cells(
+            [DesignSpec("Bumblebee", {"page_bytes": 128 * 1024})],
+            ("leela", "mcf"))
+        serial = run_cells(ExperimentHarness(FAST), cells)
+        parallel = run_cells(ExperimentHarness(FAST), cells, jobs=2)
         assert serial == parallel
 
     def test_resolve_jobs(self):
@@ -127,12 +120,80 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_bumblebee_cells_share_cache(self, tmp_path):
-        cells = [(BumblebeeConfig(), "leela", "bee", None)]
+        cells = [(DesignSpec("Bumblebee", {"block_bytes": 2048}), "leela")]
         first = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
-        computed = run_bumblebee_cells(first, cells)
+        computed = run_cells(first, cells)
         second = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
-        assert run_bumblebee_cells(second, cells) == computed
+        assert run_cells(second, cells) == computed
         assert second.cache.hits == 1
+
+
+class TestPageRefit:
+    """Bumblebee page/way geometry is an ordinary spec axis: the
+    devices are refitted from the spec, so a page size that does not
+    tile the default devices (96KB) runs like any other sweep point."""
+
+    SPEC = DesignSpec("Bumblebee", {"block_bytes": 2048,
+                                    "page_bytes": 96 * 1024})
+
+    def test_96k_pages_run_and_share_figure6_key(self, tmp_path):
+        cells = enumerate_cells(
+            registry.expand_grid("Bumblebee", {"block_bytes": [2048],
+                                               "page_bytes": [96 * 1024]}),
+            ("leela", "mcf"))
+        assert cells[0][0] == self.SPEC
+        first = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
+        serial = run_cells(first, cells, jobs=1)
+        parallel = run_cells(ExperimentHarness(FAST), cells, jobs=2)
+        assert serial == parallel
+        # Figure 6's (2KB, 96KB) point is the same cell: served from
+        # the cache the sweep filled, never re-simulated.
+        figure = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
+        out = figure.figure6_design_space(block_sizes=(2048,),
+                                          page_sizes=(96 * 1024,),
+                                          workloads=("leela",))
+        assert figure.cache.hits == 1 and figure.cache.misses == 0
+        assert out[(2048, 96 * 1024)]["norm_ipc"] == \
+            geomean_speedup(serial[:1])
+
+    def test_default_geometry_keeps_harness_devices(self):
+        harness = ExperimentHarness(FAST)
+        devices = (harness.hbm_config, harness.dram_config)
+        for design in ("Bumblebee", "Banshee", "25%-C",
+                       DesignSpec("Bumblebee", {"page_bytes": 64 * 1024,
+                                                "hbm_ways": 8})):
+            spec = registry.resolve(design)
+            assert harness.devices_for(spec) == devices
+        refit = harness.devices_for(self.SPEC)
+        assert refit != devices
+        assert harness.devices_for(self.SPEC) is refit    # memoised
+
+
+class TestFigure6Pinned:
+    """Figure 6 numbers, pinned from the dedicated custom-Bumblebee
+    runner the spec cells replaced: the nine block x page points must
+    reproduce them bit for bit (exact float reprs, compared with ==)."""
+
+    CONFIG = ExperimentConfig(requests=3000, warmup=1000,
+                              workloads=("leela", "mcf"))
+    EXPECTED = {
+        (1024, 65536): (1.1989372023134703, 16512, False),
+        (2048, 65536): (1.2767250130183496, 12416, True),
+        (4096, 65536): (1.3348109865670639, 10368, True),
+        (1024, 98304): (1.2197403598807772, 13566, True),
+        (2048, 98304): (1.2551730880300629, 9534, True),
+        (4096, 98304): (1.3118782392274282, 7518, True),
+        (1024, 131072): (1.2144731973059566, 12352, True),
+        (2048, 131072): (1.2492565088796963, 8256, True),
+        (4096, 131072): (1.3107905678542249, 6208, True),
+    }
+
+    def test_nine_points_bit_identical(self):
+        out = ExperimentHarness(self.CONFIG).figure6_design_space()
+        assert list(out) == list(self.EXPECTED)
+        assert {point: (cell["norm_ipc"], cell["metadata_bytes"],
+                        cell["fits_sram"])
+                for point, cell in out.items()} == self.EXPECTED
 
 
 class TestCampaignJsonl:
